@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench chaos sanitize coverage trace planner rebalance market live profile examples outputs clean
+.PHONY: install test bench chaos sanitize coverage trace planner rebalance market live profile perfbench examples outputs clean
 
 # Hot-path profile gate: run the deterministic profiling harness on the
 # small canonical spec and fail if events/sec regressed more than 10%
@@ -10,6 +10,14 @@ PYTHON ?= python
 # intentional change with `python tools/profile_core.py --write-floor`).
 profile:
 	$(PYTHON) tools/profile_core.py --check-floor
+
+# The RBAY benchmark (perfbench/README.md): both simulated workloads for
+# 50 s each, untraced; TRACE=1 runs the traced per-layer variant instead.
+perfbench:
+	for w in publish_storm market_spike; do \
+	  python3 perfbench/run.py --workload $$w --seconds 50 \
+	    --trace $(if $(filter 1,$(TRACE)),1,0) || exit 1; \
+	done
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop

@@ -31,7 +31,7 @@ def build():
     sim = Simulator()
     streams = RandomStreams(404)
     registry = make_ec2_registry()
-    network = Network(sim, TableIILatencyModel())
+    network = Network(sim, TableIILatencyModel(), account_bytes=True)
     overlay = Overlay(sim, network, streams, registry)
     overlay.create_population(NODES_PER_SITE)
     overlay.bootstrap()

@@ -29,7 +29,7 @@ QUERIES = 80
 def run_ganglia(nodes_per_site: int):
     sim = Simulator()
     registry = make_ec2_registry()
-    network = Network(sim, TableIILatencyModel())
+    network = Network(sim, TableIILatencyModel(), account_bytes=True)
     federation = GangliaFederation(sim, network, registry[0])
     next_id = 0
     for site in registry:
@@ -65,6 +65,7 @@ def run_rbay(nodes_per_site: int):
                                           jitter=False,
                                           monitor_interval_ms=1_000.0)
     network = plane.network
+    network.account_bytes = True
     network.reset_counters()
     plane.monitor.track_many(plane.nodes)
     plane.monitor.start()

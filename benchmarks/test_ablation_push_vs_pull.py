@@ -36,7 +36,7 @@ def build():
     streams = RandomStreams(808)
     registry = SiteRegistry()
     site = registry.add("S", "X")
-    network = Network(sim, UniformLatencyModel(0.3))
+    network = Network(sim, UniformLatencyModel(0.3), account_bytes=True)
     overlay = Overlay(sim, network, streams, registry)
     for _ in range(N_NODES):
         overlay.create_node(site)

@@ -38,6 +38,7 @@ def run_tree_query(fraction):
     plane, nodes, holders = build(fraction)
     network = plane.network
     customer = plane.make_customer("tree", "Virginia")
+    network.account_bytes = True
     network.reset_counters()
     result = customer.query_once(
         f"SELECT {K} FROM Virginia WHERE FPGA = true;").result()
@@ -50,6 +51,7 @@ def run_flood_query(fraction):
     plane, nodes, holders = build(fraction)
     network = plane.network
     asker = nodes[0]
+    network.account_bytes = True
     network.reset_counters()
     replies = []
 

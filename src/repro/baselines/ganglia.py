@@ -219,4 +219,9 @@ class GangliaFederation:
         return client
 
     def manager_inbound_bytes(self) -> int:
+        """Bytes delivered to the central manager (needs byte accounting)."""
+        if not self.network.account_bytes:
+            raise RuntimeError(
+                "manager_inbound_bytes() needs a network that accounts bytes: "
+                "build it with Network(..., account_bytes=True)")
         return self.network.per_host_bytes_in[self.manager.address]

@@ -2,17 +2,17 @@
 
 Messages carry a ``kind`` tag dispatched by the receiving host, an arbitrary
 payload dict, and bookkeeping used by the experiments: hop counts, the
-originating query id, and an approximate wire size so benchmarks can account
-for bandwidth at hot spots (e.g. the Ganglia master ablation).
+originating query id, and a wire size so benchmarks can account for
+bandwidth at hot spots (e.g. the Ganglia master ablation).
 
 ``Message`` is a ``__slots__`` class, not a dataclass: the scale workload
 constructs one per send on the hot path, and slotted construction is about
 twice as cheap as a dataclass with ``field(default_factory=...)`` defaults.
-The size estimator is likewise hot (one call per network send) and was the
-single most expensive function in the pre-rewrite profile; it dispatches on
-exact ``type()`` with a memo of string byte lengths, falling back to the
-original ``isinstance`` chain only for subclassed or exotic values so the
-reported byte counts are bit-identical to the old implementation.
+
+The wire codec is the only message-size model: :meth:`Message.size_bytes`
+is the codec-encoded ``kind`` and ``payload`` plus a fixed frame header.
+Sizing a message costs a full encode, so the network only does it for a
+run that opts into byte accounting (``Network(account_bytes=True)``).
 """
 
 from __future__ import annotations
@@ -21,72 +21,6 @@ import itertools
 from typing import Any, Dict, Optional
 
 _msg_ids = itertools.count(1)
-
-#: Memo of UTF-8 byte lengths for hot strings (kinds, topic and aggregate
-#: names, payload keys).  Bounded so adversarial workloads with unbounded
-#: distinct strings cannot grow it without limit.
-_str_sizes: Dict[str, int] = {}
-_STR_MEMO_LIMIT = 65_536
-
-
-def _estimate_size_slow(value: Any) -> int:
-    """The original isinstance-chain estimator; exact fallback for values
-    whose concrete type is not one of the fast-path builtins (subclasses,
-    user objects).  Must stay value-identical to :func:`_estimate_size`."""
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, str):
-        return len(value.encode("utf-8"))
-    if isinstance(value, bytes):
-        return len(value)
-    if isinstance(value, dict):
-        return sum(_estimate_size(k) + _estimate_size(v) for k, v in value.items())
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return sum(_estimate_size(v) for v in value)
-    return 16
-
-
-def _estimate_size(value: Any) -> int:
-    """Rough serialized size in bytes (protocol framing ignored).
-
-    Deliberately simple and deterministic: strings count their UTF-8 bytes,
-    numbers a fixed 8, containers recurse.  Good enough for comparing
-    bandwidth *ratios* between designs, which is all the ablations need.
-    """
-    t = type(value)
-    if t is str:
-        size = _str_sizes.get(value)
-        if size is None:
-            # ASCII strings (the overwhelming majority) encode 1:1, so the
-            # C-level isascii() check avoids allocating a bytes object.
-            size = len(value) if value.isascii() else len(value.encode("utf-8"))
-            if len(_str_sizes) < _STR_MEMO_LIMIT:
-                _str_sizes[value] = size
-        return size
-    if t is float or t is int:
-        return 8
-    if t is dict:
-        total = 0
-        for k, v in value.items():
-            total += _estimate_size(k) + _estimate_size(v)
-        return total
-    if t is list or t is tuple:
-        total = 0
-        for v in value:
-            total += _estimate_size(v)
-        return total
-    if value is None or t is bool:
-        return 1
-    if t is bytes:
-        return len(value)
-    if t is set or t is frozenset:
-        total = 0
-        for v in value:
-            total += _estimate_size(v)
-        return total
-    return _estimate_size_slow(value)
 
 
 class Message:
@@ -138,8 +72,14 @@ class Message:
         self.trace_ctx = trace_ctx
 
     def size_bytes(self) -> int:
-        """Approximate wire size of this message."""
-        return 24 + _estimate_size(self.kind) + _estimate_size(self.payload)
+        """Wire size of this message, measured by the codec.
+
+        See :func:`repro.transport.codec.frame_size`; raises
+        :class:`~repro.transport.codec.CodecError` for a payload that
+        could not cross a socket.
+        """
+        from repro.transport.codec import frame_size  # codec imports Message
+        return frame_size(self)
 
     def fork(self, **payload_updates: Any) -> "Message":
         """Copy for re-forwarding: same kind/payload, fresh id, src/dst reset."""

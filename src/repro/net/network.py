@@ -69,9 +69,13 @@ class Network(Transport):
     simulated heap event, which makes this backend the deterministic
     oracle the live socket transport is validated against.
 
-    Also the system's measurement point: per-host message/byte counters feed
-    the load-balance and bandwidth experiments (Fig. 8b and the centralized
-    ablation).
+    Also the system's measurement point: per-host message counters feed
+    the load-balance experiments (Fig. 8b).  Byte counters (``bytes_sent``,
+    ``per_host_bytes_in``) feed only the bandwidth ablations, so they are
+    opt-in per run via ``account_bytes``: sizing a message means encoding
+    it (:meth:`Message.size_bytes`, the codec frame size), charged per copy
+    at send and per delivery at the receiver.  With accounting off, the
+    send and deliver paths never size a message and both stay at 0.
     """
 
     def __init__(
@@ -82,6 +86,7 @@ class Network(Transport):
         loss_rng: Optional[random.Random] = None,
         processing_ms: float = 0.0,
         coalesce_delivery: bool = False,
+        account_bytes: bool = False,
     ):
         if loss_rate and loss_rng is None:
             raise NetworkError("loss_rate requires a loss_rng for determinism")
@@ -92,7 +97,7 @@ class Network(Transport):
         #: Per-message accounting (counters, hooks, trace contexts) is
         #: unchanged — only the scheduling is shared.
         self.coalesce_delivery = coalesce_delivery
-        self._pending_batches: Dict[Tuple[int, float], List[Tuple[Message, int]]] = {}
+        self._pending_batches: Dict[Tuple[int, float], List[Message]] = {}
         #: Batched deliveries may bypass the per-message ``_deliver`` call
         #: only when no subclass customizes delivery (the codec shadow in
         #: :class:`repro.transport.sim.SimTransport` re-enables it).
@@ -117,6 +122,9 @@ class Network(Transport):
         self.messages_dropped = 0
         self.messages_in_flight = 0
         self.messages_suppressed = 0
+        #: Opt-in byte accounting; set it before ``reset_counters()`` so the
+        #: measured window starts with consistent byte counters.
+        self.account_bytes = account_bytes
         self.bytes_sent = 0
         self.per_host_received: Counter = Counter()
         self.per_host_sent: Counter = Counter()
@@ -214,8 +222,9 @@ class Network(Transport):
         msg.dst = dst_address
         stamp_trace_ctx(self.recorder, msg)
         self.messages_sent += 1
-        size = msg.size_bytes()
-        self.bytes_sent += size
+        if self.account_bytes:
+            size = msg.size_bytes()
+            self.bytes_sent += size
         self.per_host_sent[src.address] += 1
         if self.loss_rate and self._loss_rng.random() < self.loss_rate:
             self.messages_dropped += 1
@@ -249,7 +258,8 @@ class Network(Transport):
         for copy in range(copies):
             if copy:  # duplicates are extra wire packets: account them
                 self.messages_sent += 1
-                self.bytes_sent += size
+                if self.account_bytes:
+                    self.bytes_sent += size
                 self.per_host_sent[src.address] += 1
             if base_delay is not None:
                 delay = base_delay + self.processing_ms + extra_delay
@@ -264,12 +274,12 @@ class Network(Transport):
                 key = (dst_address, self.sim.now + delay)
                 batch = self._pending_batches.get(key)
                 if batch is None:
-                    self._pending_batches[key] = [(msg, size)]
+                    self._pending_batches[key] = [msg]
                     self.sim.post(delay, self._deliver_batch, key)
                 else:
-                    batch.append((msg, size))
+                    batch.append(msg)
             else:
-                self.sim.post(delay, self._deliver, dst_address, msg, size)
+                self.sim.post(delay, self._deliver, dst_address, msg)
 
     def _deliver_batch(self, key: Tuple[int, float]) -> None:
         """Deliver every message coalesced under ``key``, in send order.
@@ -286,11 +296,12 @@ class Network(Transport):
         dst_address = key[0]
         batch = self._pending_batches.pop(key)
         if self._per_message_deliver:
-            for msg, size in batch:
-                self._deliver(dst_address, msg, size)
+            for msg in batch:
+                self._deliver(dst_address, msg)
             return
         hosts = self._hosts
-        for msg, size in batch:
+        account_bytes = self.account_bytes
+        for msg in batch:
             self.messages_in_flight -= 1
             host = hosts.get(dst_address)
             if host is None or not host.alive:
@@ -298,7 +309,8 @@ class Network(Transport):
                 continue
             self.messages_delivered += 1
             self.per_host_received[dst_address] += 1
-            self.per_host_bytes_in[dst_address] += size
+            if account_bytes:
+                self.per_host_bytes_in[dst_address] += msg.size_bytes()
             if msg.trace is not None:
                 msg.trace.append(dst_address)
             recorder = self.recorder
@@ -311,7 +323,7 @@ class Network(Transport):
                 deliver_traced(recorder, msg,
                                lambda h=host, m=msg: self._dispatch(h, m))
 
-    def _deliver(self, dst_address: int, msg: Message, size: int) -> None:
+    def _deliver(self, dst_address: int, msg: Message) -> None:
         self.messages_in_flight -= 1
         host = self._hosts.get(dst_address)
         if host is None or not host.alive:
@@ -321,7 +333,8 @@ class Network(Transport):
             return
         self.messages_delivered += 1
         self.per_host_received[dst_address] += 1
-        self.per_host_bytes_in[dst_address] += size
+        if self.account_bytes:
+            self.per_host_bytes_in[dst_address] += msg.size_bytes()
         if msg.trace is not None:
             msg.trace.append(dst_address)
         # Restore the sender's causal context for the duration of the

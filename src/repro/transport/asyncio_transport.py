@@ -70,6 +70,7 @@ class AsyncioTransport(Transport):
         connect_retries: int = 3,
         connect_backoff_s: float = 0.2,
         peer_plan: Optional[Any] = None,
+        account_bytes: bool = False,
     ):
         if loss_rate and loss_rng is None:
             raise NetworkError("loss_rate requires a loss_rng for determinism")
@@ -108,9 +109,13 @@ class AsyncioTransport(Transport):
         self.messages_dropped = 0
         self.messages_in_flight = 0
         self.messages_suppressed = 0
+        #: Opt-in byte accounting, as on the DES network: ``bytes_sent`` /
+        #: ``per_host_bytes_in`` charge ``Message.size_bytes()`` for parity
+        #: with the sim, and stay at 0 while this is off.
+        self.account_bytes = account_bytes
         self.bytes_sent = 0
-        #: Actual framed bytes written to sockets (``bytes_sent`` keeps
-        #: the sim estimator for parity; this is the true wire volume).
+        #: Actual framed bytes written to sockets, always counted: the true
+        #: wire volume.
         self.wire_bytes_sent = 0
         self.per_host_received: Counter = Counter()
         self.per_host_sent: Counter = Counter()
@@ -251,7 +256,8 @@ class AsyncioTransport(Transport):
             return
         self.messages_delivered += 1
         self.per_host_received[address] += 1
-        self.per_host_bytes_in[address] += msg.size_bytes()
+        if self.account_bytes:
+            self.per_host_bytes_in[address] += msg.size_bytes()
         if msg.trace is not None:
             msg.trace.append(address)
         try:
@@ -279,8 +285,9 @@ class AsyncioTransport(Transport):
         msg.dst = dst_address
         stamp_trace_ctx(self.recorder, msg)
         self.messages_sent += 1
-        size = msg.size_bytes()
-        self.bytes_sent += size
+        if self.account_bytes:
+            size = msg.size_bytes()
+            self.bytes_sent += size
         self.per_host_sent[src.address] += 1
         if self.loss_rate and self._loss_rng.random() < self.loss_rate:
             self.messages_dropped += 1
@@ -303,21 +310,22 @@ class AsyncioTransport(Transport):
         for copy in range(copies):
             if copy:
                 self.messages_sent += 1
-                self.bytes_sent += size
+                if self.account_bytes:
+                    self.bytes_sent += size
                 self.per_host_sent[src.address] += 1
             self.messages_in_flight += 1
             self.wire_bytes_sent += len(body)
             if extra_delay > 0.0:
                 self.scheduler.schedule(extra_delay, self._enqueue,
-                                        dst_address, body, size)
+                                        dst_address, body)
             else:
-                self._enqueue(dst_address, body, size)
+                self._enqueue(dst_address, body)
 
-    def _enqueue(self, dst_address: int, body: bytes, size: int) -> None:
+    def _enqueue(self, dst_address: int, body: bytes) -> None:
         peer = self._peers.get(dst_address)
         if peer is None:
             peer = self._peers[dst_address] = _Peer()
-        peer.queue.put_nowait((body, size))
+        peer.queue.put_nowait(body)
         if peer.task is None or peer.task.done():
             peer.task = self.loop.create_task(self._sender(dst_address, peer))
 
@@ -329,7 +337,7 @@ class AsyncioTransport(Transport):
         """Drain one destination's frame queue over a cached connection."""
         while True:
             try:
-                body, size = peer.queue.get_nowait()
+                body = peer.queue.get_nowait()
             except asyncio.QueueEmpty:
                 return
             writer = await self._writer_for(dst_address, peer)

@@ -93,7 +93,12 @@ class Transport(abc.ABC):
     ``recorder`` / ``fault_filter``
         Installed by the plane (observability) and the fault injector.
     ``messages_sent`` … ``per_host_bytes_in``
-        The counter set behind the bandwidth/load experiments.
+        The counter set behind the bandwidth/load experiments.  Message
+        counters are always kept.  The byte counters ``bytes_sent`` and
+        ``per_host_bytes_in`` are opt-in via ``account_bytes`` (default
+        off, when both stay 0) and charge ``Message.size_bytes()``, the
+        codec-measured frame size: per copy at send, per delivery at the
+        receiver.
     """
 
     # ------------------------------------------------------------------

@@ -128,6 +128,28 @@ def _encode_value(out: bytearray, value: Any, path: str) -> None:
             f"({value!r:.80}) — carry an address/topic reference instead")
 
 
+#: Frame bytes that byte accounting charges as a constant instead of
+#: encoding them: the 4-byte length prefix, the version byte, ``src``,
+#: ``dst``, ``hops`` and ``msg_id`` as 32-bit ints (tag + 2-byte length
+#: + 4 bytes each), and an untraced ``trace`` / ``trace_ctx`` (one
+#: ``None`` tag each).  A constant keeps a message's accounted size
+#: independent of the process-global id counter and of tracing.
+FRAME_HEADER_BYTES = 4 + 1 + 4 * 7 + 2
+
+
+def frame_size(msg: Message) -> int:
+    """Wire size of ``msg`` as byte accounting charges it.
+
+    The encoded ``kind`` and ``payload`` plus :data:`FRAME_HEADER_BYTES`.
+    Raises :class:`CodecError`, naming the path, for a payload the codec
+    cannot carry.
+    """
+    out = bytearray()
+    _encode_value(out, msg.kind, "kind")
+    _encode_value(out, msg.payload, "payload")
+    return FRAME_HEADER_BYTES + len(out)
+
+
 def encode_message(msg: Message) -> bytes:
     """Serialize ``msg`` to a canonical (unframed) wire body."""
     out = bytearray()

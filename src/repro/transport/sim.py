@@ -57,7 +57,7 @@ class SimTransport(Network):
             or cls._deliver is not SimTransport._deliver
             or cls._dispatch is not Network._dispatch)
 
-    def _deliver(self, dst_address: int, msg: Message, size: int) -> None:
+    def _deliver(self, dst_address: int, msg: Message) -> None:
         if self.wire_check:
             # Replace the in-process object with its decoded wire copy —
             # receivers see exactly what a socket would have given them.
@@ -69,4 +69,4 @@ class SimTransport(Network):
             # while still type-checking it through the codec.
             decoded.trace = msg.trace
             msg = decoded
-        super()._deliver(dst_address, msg, size)
+        super()._deliver(dst_address, msg)

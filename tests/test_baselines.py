@@ -130,7 +130,8 @@ class TestGanglia:
             from repro.sim.engine import Simulator
 
             local_sim = Simulator()
-            network = Network(local_sim, TableIILatencyModel())
+            network = Network(local_sim, TableIILatencyModel(),
+                              account_bytes=True)
             federation = GangliaFederation(local_sim, network, registry[0])
             next_id = 0
             for site in registry:
@@ -146,6 +147,15 @@ class TestGanglia:
         small = run_federation(5)
         large = run_federation(20)
         assert large > small * 3  # inbound load scales with federation size
+
+    def test_manager_inbound_bytes_requires_byte_accounting(self, sim, ganglia):
+        federation, _registry = ganglia
+        federation.start(announce_interval_ms=100.0, poll_interval_ms=100.0)
+        sim.run(until=500.0)
+        federation.stop()
+        assert federation.network.per_host_received[federation.manager.address]
+        with pytest.raises(RuntimeError, match="account_bytes=True"):
+            federation.manager_inbound_bytes()
 
     def test_query_latency_includes_manager_rtt(self, sim, ganglia):
         federation, registry = ganglia

@@ -11,6 +11,7 @@ from repro.net.latency import SyntheticLatencyModel, UniformLatencyModel
 from repro.net.message import Message
 from repro.net.site import SiteRegistry
 from repro.sim.futures import Future
+from repro.transport.codec import CodecError
 
 
 class TestLuetteValueEdges:
@@ -70,11 +71,12 @@ class TestMessageEdges:
         msg = Message(kind="x", payload={"t": True, "n": None})
         assert msg.size_bytes() > 0
 
-    def test_size_of_unknown_object(self):
+    def test_size_of_unserializable_payload_raises_codec_error(self):
         class Odd:
             pass
 
-        assert Message(kind="x", payload={"o": Odd()}).size_bytes() > 0
+        with pytest.raises(CodecError, match=r"payload\['o'\]"):
+            Message(kind="x", payload={"o": Odd()}).size_bytes()
 
 
 class TestSyntheticLatency:

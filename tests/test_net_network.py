@@ -103,6 +103,7 @@ def test_loss_rate_without_rng_rejected(sim):
 
 def test_traffic_counters(sim, net, hosts):
     a, b = hosts
+    net.account_bytes = True
     for _ in range(3):
         a.send(b.address, Message(kind="ping", payload={"x": 1}))
     sim.run()
@@ -111,8 +112,10 @@ def test_traffic_counters(sim, net, hosts):
     assert net.per_host_sent[a.address] == 3
     assert net.per_host_received[b.address] == 3
     assert net.per_host_bytes_in[b.address] > 0
+    assert net.bytes_sent == net.per_host_bytes_in[b.address]
     net.reset_counters()
     assert net.messages_sent == 0
+    assert net.bytes_sent == 0
     assert net.per_host_received[b.address] == 0
 
 

@@ -6,6 +6,7 @@ from repro.net.message import Message
 from repro.net.network import FaultDecision, Host, NetworkError
 from repro.net.site import SiteRegistry
 from repro.transport.asyncio_transport import AsyncioTransport
+from repro.transport.codec import encode_frame
 from repro.transport.realtime import RealtimeScheduler
 
 
@@ -182,6 +183,24 @@ def test_host_lookup_and_errors(rig):
     assert net.host(a.address) is a
     with pytest.raises(NetworkError):
         net.host(12345)
+
+
+def test_byte_accounting_is_opt_in(rig):
+    sched, sites, net = rig
+    a = Recorder(sites[0])
+    b = Recorder(sites[1])
+    net.attach(a)
+    net.attach(b)
+    first = Message(kind="x", payload={"blob": "y" * 50})
+    a.send(b.address, first)
+    assert sched.run_until(lambda: len(b.received) == 1, timeout=20_000.0)
+    assert net.bytes_sent == 0 and not net.per_host_bytes_in
+    assert net.wire_bytes_sent == len(encode_frame(first))
+    net.account_bytes = True
+    a.send(b.address, Message(kind="x", payload={"blob": "z" * 50}))
+    assert sched.run_until(lambda: len(b.received) == 2, timeout=20_000.0)
+    assert net.bytes_sent == first.size_bytes()
+    assert net.per_host_bytes_in[b.address] == first.size_bytes()
 
 
 def test_reset_counters(rig):
