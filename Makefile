@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench chaos sanitize coverage trace planner rebalance market live profile perfbench examples outputs clean
+.PHONY: install test bench chaos sanitize coverage trace planner rebalance market live profile perfbench perfpair examples outputs clean
 
 # Hot-path profile gate: run the deterministic profiling harness on the
 # small canonical spec and fail if events/sec regressed more than 10%
@@ -18,6 +18,15 @@ perfbench:
 	  python3 perfbench/run.py --workload $$w --seconds 50 \
 	    --trace $(if $(filter 1,$(TRACE)),1,0) || exit 1; \
 	done
+
+# Paired benchmark comparison of the working tree against REF (default
+# HEAD): PAIRS alternating untraced 50 s runs of WORKLOAD on each side,
+# medians, quartiles, wins and the paired-run verdict per end-to-end
+# metric (tools/perfpair.py).  SEED=N runs a held-out workload seed.
+perfpair:
+	$(PYTHON) tools/perfpair.py --workload $(or $(WORKLOAD),publish_storm) \
+	  --ref $(or $(REF),HEAD) --pairs $(or $(PAIRS),10) \
+	  $(if $(SEED),--seed $(SEED))
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop

@@ -81,7 +81,7 @@ class RBayNode(PastryNode):
         """
         scribe = self.scribe
         sizes = {
-            "acc_cache": len(scribe.acc_cache) if scribe.acc_cache is not None else 0,
+            "acc_cache": sum(len(state.acc) for state in scribe.topics().values()),
             "result_cache": (len(scribe.result_cache)
                              if scribe.result_cache is not None else 0),
         }

@@ -424,16 +424,16 @@ class RBay:
                                    recorder=recorder,
                                    rebalance=rebalance_cfg,
                                    metrics=self.obs.metrics)
-        query_app = QueryApplication(self.context, counters=self.counters,
-                                     obs=self.obs)
+        # Probe answers are trusted only while the co-located tree view
+        # is unchanged.
+        query_app = QueryApplication(self.context, scribe.topic_version,
+                                     counters=self.counters, obs=self.obs)
         if recorder is not None:
             node.recorder = recorder
         node.register_app(scribe)
         node.register_app(query_app)
         scribe.anycast_visitor = query_app.visit
         scribe.multicast_handler = SiteAdmin.apply_admin_command
-        # Local tree changes immediately distrust the node's probe cache.
-        scribe.add_tree_change_listener(query_app.on_tree_change)
 
     def add_node(self, site: Site, join_via: Optional[RBayNode] = None) -> RBayNode:
         """Dynamically add a node (protocol join when ``join_via`` given)."""

@@ -12,6 +12,14 @@ tracing is on — ``query.step.*``, one counter per finished protocol-step
 span (``query.step.probe``, ``query.step.anycast``, ``query.step.backoff``,
 ``query.step.site_rtt``, ``query.step.site_exec``, ...).
 
+Cache families count ``hit`` and ``miss`` per lookup.  Their
+``invalidate`` counters differ: ``scribe.acc_cache.invalidate`` counts
+accumulator-memo entries really dropped when an input changed, while
+``scribe.result_cache.invalidate`` and ``query.probe_cache.invalidate``
+count stale entries *found at read* — entries whose stamped tree version
+no longer matches (see :mod:`repro.scribe.cache`); a stale entry never
+read again is not counted.
+
 The registry itself stays flat and type-free because the simulator is
 single-threaded and most consumers are tests and benchmark tables.
 Labeled instruments (histograms, gauges, counters keyed by

@@ -46,9 +46,16 @@ class LeafSet:
         if ref.address in self._addrs:
             return False
         cw_dist = self.owner_id.clockwise_distance(ref.node_id)
-        side = self._cw if cw_dist <= (1 << 127) else self._ccw
+        clockwise = cw_dist <= (1 << 127)
+        side = self._cw if clockwise else self._ccw
+        if len(side) >= self.half:
+            # Full side: a newcomer no nearer than the farthest member would
+            # sort last (the sort is stable) and be popped straight away.
+            dist = cw_dist if clockwise else (1 << 128) - cw_dist
+            if dist >= self._side_distance(side[-1], clockwise):
+                return False
         side.append(ref)
-        side.sort(key=lambda r: self._side_distance(r, side is self._cw))
+        side.sort(key=lambda r: self._side_distance(r, clockwise))
         if len(side) > self.half:
             dropped = side.pop()
             stored = dropped.address != ref.address

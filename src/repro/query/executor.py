@@ -15,10 +15,9 @@ time — exactly the structure the paper uses to explain Figure 10.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.net.message import Message
 
@@ -38,9 +37,6 @@ from repro.scribe.buckets import BucketIndex
 from repro.scribe.cache import TTLCache
 from repro.sim.engine import Simulator
 from repro.sim.futures import Future, FutureTimeout, gather
-
-_query_ids = itertools.count(1)
-_request_ids = itertools.count(1)
 
 #: Cap used for "SELECT *" queries so anycast buffers stay bounded.
 UNBOUNDED_K = 1_000_000
@@ -198,6 +194,7 @@ class QueryApplication(Application):
     name = "query"
 
     def __init__(self, context: _QueryContext,
+                 version_of: Callable[[str], int],
                  counters: Optional[CounterRegistry] = None,
                  obs: Optional[Observability] = None):
         self.context = context
@@ -207,15 +204,14 @@ class QueryApplication(Application):
         #: every protocol step plus the per-step latency histogram.
         self.obs = obs if obs is not None else Observability()
         #: Step-1 probe cache: topic -> last observed tree size.  Entries
-        #: are trusted up to ``context.probe_cache_ms`` of staleness and
-        #: dropped eagerly when the co-located Scribe instance observes any
-        #: change to that tree (see :meth:`on_tree_change`).
-        self.probe_cache = TTLCache(counters, "query.probe_cache")
-
-    def on_tree_change(self, topic: str) -> None:
-        """Scribe observed a membership/accumulator change for ``topic``:
-        the cached probe answer can no longer be trusted."""
-        self.probe_cache.invalidate(topic)
+        #: are trusted up to ``context.probe_cache_ms`` of staleness, and
+        #: only while the co-located Scribe instance has seen no change to
+        #: that tree: ``version_of`` is that instance's ``topic_version``.
+        self.probe_cache = TTLCache(version_of, counters, "query.probe_cache")
+        # Per-simulation id counters: same-seed runs put identical ids on
+        # the wire however many planes the process has built before.
+        self._query_ids = context.sim.id_counters["query.query"]
+        self._request_ids = context.sim.id_counters["query.request"]
 
     def probe_size_hints(self) -> Dict[str, int]:
         """Tree sizes still fresh in the probe cache (planner ordering)."""
@@ -269,7 +265,7 @@ class QueryApplication(Application):
             query = replace(query, k=opts.k)
         retries = opts.retries
         sim = self.context.sim
-        query_id = next(_query_ids)
+        query_id = next(self._query_ids)
         result = _ResultDraft(
             query_id=query_id,
             requested=query.k,
@@ -476,7 +472,7 @@ class QueryApplication(Application):
         remote = site_name if site_name is not None else str(gateway)
 
         def _attempt() -> None:
-            request_id = next(_request_ids)
+            request_id = next(self._request_ids)
             attempt = Future(sim, timeout=self.context.site_timeout_ms)
             self._pending[request_id] = attempt
             span = None

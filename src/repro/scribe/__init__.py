@@ -25,7 +25,7 @@ from repro.scribe.aggregate import (
     SumFunction,
     make_aggregate,
 )
-from repro.scribe.cache import SubtreeAggregateCache, TTLCache
+from repro.scribe.cache import TTLCache
 from repro.scribe.scribe import ScribeApplication
 from repro.scribe.topic import topic_id
 
@@ -41,7 +41,6 @@ __all__ = [
     "MaxFunction",
     "MinFunction",
     "ScribeApplication",
-    "SubtreeAggregateCache",
     "SumFunction",
     "TTLCache",
     "make_aggregate",

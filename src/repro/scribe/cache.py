@@ -1,34 +1,35 @@
-"""Caching layers for tree aggregation and query probes.
+"""Bounded-staleness caching for finalized tree answers.
 
 RBAY's query protocol starts every query by probing candidate trees for
-their aggregate sizes, and every probe re-rolls the accumulators from the
-node's raw inputs — even though tree membership and member attributes
-change far more slowly than queries arrive.  This module supplies the two
-memoization primitives that amortize that cost:
+their sizes, and tolerant readers may reuse a root's recent answer instead
+of asking again.  :class:`TTLCache` is the memo for those *finalized*
+answers (root aggregate values, the executor's step-1 tree-size probes).
+A hit requires the entry to be younger than the caller's ``max_age_ms``
+staleness bound; callers that demand coherent answers pass a bound of
+zero (or omit it), which bypasses the cache entirely.
 
-* :class:`SubtreeAggregateCache` — an *exact* memo of each tree node's
-  subtree accumulator per aggregate function.  Entries are dirty-flagged
-  (invalidated) whenever any input changes — a local member value, a
-  child's pushed accumulator, membership, or tree repair — so a valid
-  entry is always bit-identical to a from-scratch recomputation.  The
-  coherence property suite (``tests/test_scribe_cache_coherence.py``)
-  proves this under randomized update/churn interleavings.
+Entries are validated when they are read, not when something is written.
+The owner supplies ``version_of(topic)``, a per-topic counter that the
+co-located Scribe instance bumps on every change to its view of the tree
+(:meth:`repro.scribe.scribe.ScribeApplication.topic_version`).  ``put``
+stamps each entry with the current version; a read that finds a different
+version treats the entry as a miss and drops it.  The write path therefore
+pays nothing for these caches.
 
-* :class:`TTLCache` — a bounded-staleness memo for *finalized* answers
-  (root aggregate values, the executor's step-1 tree-size probes).  A hit
-  requires the entry to be younger than the caller's ``max_age_ms``
-  staleness bound; callers that demand coherent answers pass a bound of
-  zero (or omit it), which bypasses the cache entirely.
+The exact subtree-accumulator memo is not here: it is a plain per-topic
+dict (``TopicState.acc``) that the Scribe write path drops names from.
 
-Both caches optionally report hit/miss/invalidation counts into a
-:class:`repro.metrics.counters.CounterRegistry` under a dotted prefix.
+Counters, reported into a :class:`repro.metrics.counters.CounterRegistry`
+under a dotted prefix:
 
-Hot-path note: these caches sit directly on the publish path — every
-``set_local`` invalidates, every flush recomputes — so storage is nested
-per-topic dicts (no tuple-key allocation per access), counter names are
-preformatted once at construction, and :meth:`TTLCache.invalidate_topic`
-is O(entries *of that topic*) via a topic index rather than a scan of the
-whole cache.
+* ``<prefix>.hit`` / ``<prefix>.miss`` — one per ``get``.
+* ``<prefix>.invalidate`` — stale entries *found at read* (a version
+  mismatch seen by ``get`` or ``fresh_items``), for
+  ``scribe.result_cache`` and ``query.probe_cache`` alike.  An entry made
+  stale but never read again is not counted.
+* ``scribe.acc_cache.hit|miss|invalidate`` (counted by the Scribe
+  application for ``TopicState.acc``): one hit or miss per memo lookup,
+  and one invalidation per memo entry really dropped by a recompute.
 """
 
 from __future__ import annotations
@@ -41,104 +42,10 @@ from repro.metrics.counters import CounterRegistry
 _MISS = object()
 
 
-class SubtreeAggregateCache:
-    """Exact per-(topic, aggregate) memo of subtree accumulators.
-
-    The cache never expires entries on its own: correctness comes purely
-    from the owner invalidating on every mutation of the accumulator's
-    inputs.  Accumulator values are immutable (numbers, bools, tuples), so
-    returning the stored object is safe.
-    """
-
-    def __init__(self, counters: Optional[CounterRegistry] = None,
-                 prefix: str = "scribe.acc_cache"):
-        # topic -> {agg_name -> accumulator}
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        self._counters = counters
-        self._prefix = prefix
-        self._hit_name = prefix + ".hit"
-        self._miss_name = prefix + ".miss"
-        self._invalidate_name = prefix + ".invalidate"
-
-    # ------------------------------------------------------------------
-    def peek(self, topic: str, agg_name: str) -> Any:
-        """The memoized accumulator, or the module ``_MISS`` sentinel.
-
-        Counts a hit or a miss exactly like :meth:`get`; a caller that
-        computes after a miss must :meth:`store` the result to keep the
-        counter stream identical to the ``get``-with-compute path.
-        """
-        per_topic = self._entries.get(topic)
-        if per_topic is not None:
-            value = per_topic.get(agg_name, _MISS)
-            if value is not _MISS:
-                if self._counters is not None:
-                    self._counters.increment(self._hit_name)
-                return value
-        if self._counters is not None:
-            self._counters.increment(self._miss_name)
-        return _MISS
-
-    def store(self, topic: str, agg_name: str, value: Any) -> None:
-        """Memoize ``value`` (the computed-after-miss half of :meth:`peek`)."""
-        per_topic = self._entries.get(topic)
-        if per_topic is None:
-            per_topic = self._entries[topic] = {}
-        per_topic[agg_name] = value
-
-    def get(self, topic: str, agg_name: str, compute: Callable[[], Any]) -> Any:
-        """Return the memoized accumulator, computing and storing on miss."""
-        value = self.peek(topic, agg_name)
-        if value is _MISS:
-            value = compute()
-            self.store(topic, agg_name, value)
-        return value
-
-    def invalidate(self, topic: str, agg_name: Optional[str] = None) -> int:
-        """Drop the entry for one aggregate (or every aggregate) of a topic.
-
-        Returns the number of entries actually removed; only those count
-        as invalidations in the metrics.
-        """
-        per_topic = self._entries.get(topic)
-        if not per_topic:
-            return 0
-        if agg_name is not None:
-            if agg_name not in per_topic:
-                return 0
-            del per_topic[agg_name]
-            removed = 1
-        else:
-            removed = len(per_topic)
-            per_topic.clear()
-        if self._counters is not None:
-            self._counters.increment(self._invalidate_name, removed)
-        return removed
-
-    def __len__(self) -> int:
-        return sum(len(per_topic) for per_topic in self._entries.values())
-
-
-def _key_topic(key: Hashable) -> Optional[str]:
-    """The topic a TTL-cache key belongs to, for the invalidation index.
-
-    Keys are either bare topic names or tuples whose first element is the
-    topic; anything else is never matched by topic invalidation (same
-    contract as the original full-scan implementation).
-    """
-    if type(key) is str:
-        return key
-    if isinstance(key, tuple) and key:
-        first = key[0]
-        return first if isinstance(first, str) else None
-    if isinstance(key, str):
-        return key
-    return None
-
-
 class TTLCache:
     """Timestamped key/value memo honoring per-read staleness bounds.
 
+    Keys are bare topic names or tuples whose first element is the topic.
     Entries never expire at write time; each ``get`` decides freshness
     against the caller's own ``max_age_ms``, so one cache can serve
     callers with different staleness tolerances.  A bound that is ``None``
@@ -146,90 +53,59 @@ class TTLCache:
     and those must come from the authoritative path.
     """
 
-    def __init__(self, counters: Optional[CounterRegistry] = None,
+    def __init__(self, version_of: Callable[[str], int],
+                 counters: Optional[CounterRegistry] = None,
                  prefix: str = "ttl_cache"):
-        self._entries: Dict[Hashable, Tuple[Any, float]] = {}
-        # topic -> set of live keys for that topic (invalidation index).
-        self._by_topic: Dict[str, set] = {}
+        # key -> (value, stored_at, topic version at put time)
+        self._entries: Dict[Hashable, Tuple[Any, float, int]] = {}
+        self.version_of = version_of
         self._counters = counters
-        self._prefix = prefix
         self._hit_name = prefix + ".hit"
         self._miss_name = prefix + ".miss"
         self._invalidate_name = prefix + ".invalidate"
+
+    def _version(self, key: Hashable) -> int:
+        return self.version_of(key if type(key) is str else key[0])
+
+    def _is_stale(self, key: Hashable, version: int) -> bool:
+        """Drop ``key`` (counting an invalidation) if its stamp is stale."""
+        if version == self._version(key):
+            return False
+        del self._entries[key]
+        if self._counters is not None:
+            self._counters.increment(self._invalidate_name)
+        return True
 
     # ------------------------------------------------------------------
     def get(self, key: Hashable, now: float,
             max_age_ms: Optional[float]) -> Tuple[bool, Any]:
         """Look up ``key``; returns ``(hit, value)``.
 
-        A hit requires an entry stored no more than ``max_age_ms`` ago.
+        A hit requires an entry stored no more than ``max_age_ms`` ago at
+        the topic version that is current now.
         """
-        counters = self._counters
-        if max_age_ms is None or max_age_ms <= 0:
-            if counters is not None:
-                counters.increment(self._miss_name)
-            return False, None
-        entry = self._entries.get(key)
-        if entry is None:
-            if counters is not None:
-                counters.increment(self._miss_name)
-            return False, None
-        value, stored_at = entry
-        if now - stored_at > max_age_ms:
-            if counters is not None:
-                counters.increment(self._miss_name)
-            return False, None
-        if counters is not None:
-            counters.increment(self._hit_name)
-        return True, value
+        hit = False
+        value = None
+        if max_age_ms is not None and max_age_ms > 0:
+            entry = self._entries.get(key)
+            if entry is not None:
+                value, stored_at, version = entry
+                hit = (not self._is_stale(key, version)
+                       and now - stored_at <= max_age_ms)
+        if self._counters is not None:
+            self._counters.increment(self._hit_name if hit else self._miss_name)
+        return (True, value) if hit else (False, None)
 
     def put(self, key: Hashable, value: Any, now: float) -> None:
-        """Store ``value`` for ``key``, stamped with the current time."""
-        if key not in self._entries:
-            topic = _key_topic(key)
-            if topic is not None:
-                bucket = self._by_topic.get(topic)
-                if bucket is None:
-                    bucket = self._by_topic[topic] = set()
-                bucket.add(key)
-        self._entries[key] = (value, now)
-
-    # ------------------------------------------------------------------
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns True when something was removed."""
-        if key in self._entries:
-            del self._entries[key]
-            topic = _key_topic(key)
-            if topic is not None:
-                bucket = self._by_topic.get(topic)
-                if bucket is not None:
-                    bucket.discard(key)
-                    if not bucket:
-                        del self._by_topic[topic]
-            if self._counters is not None:
-                self._counters.increment(self._invalidate_name)
-            return True
-        return False
-
-    def invalidate_topic(self, topic: str) -> int:
-        """Drop every entry keyed by ``topic`` — either the bare topic name
-        or a tuple whose first element is the topic.  Returns the count."""
-        keys = self._by_topic.pop(topic, None)
-        if not keys:
-            return 0
-        entries = self._entries
-        for key in keys:
-            del entries[key]
-        if self._counters is not None:
-            self._counters.increment(self._invalidate_name, len(keys))
-        return len(keys)
+        """Store ``value`` for ``key``, stamped with the time and version."""
+        self._entries[key] = (value, now, self._version(key))
 
     def fresh_items(self, now: float, max_age_ms: Optional[float]) -> Dict[Hashable, Any]:
         """All entries still within the staleness bound (for planner hints)."""
         if max_age_ms is None or max_age_ms <= 0:
             return {}
-        return {k: v for k, (v, stored_at) in self._entries.items()
-                if now - stored_at <= max_age_ms}
+        return {k: v for k, (v, stored_at, version) in list(self._entries.items())
+                if not self._is_stale(k, version) and now - stored_at <= max_age_ms}
 
     def __len__(self) -> int:
         return len(self._entries)

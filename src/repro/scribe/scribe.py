@@ -9,7 +9,6 @@ spanning tree rooted at the node closest to the TopicId.
 
 from __future__ import annotations
 
-import itertools
 from sys import intern as _intern
 from typing import Any, Callable, Dict, List, Optional
 
@@ -20,12 +19,10 @@ from repro.pastry.node import Application, PastryNode
 from repro.pastry.nodeid import NodeId
 from repro.pastry.routing_table import NodeRef
 from repro.scribe.aggregate import AGGREGATE_FUNCTIONS, AggregateFunction
-from repro.scribe.cache import _MISS, SubtreeAggregateCache, TTLCache
+from repro.scribe.cache import _MISS, TTLCache
 from repro.scribe.topic import topic_id
 from repro.sim.engine import Simulator
 from repro.sim.futures import Future
-
-_request_ids = itertools.count(1)
 
 #: Visitor invoked at each member during anycast DFS.  Mutates the carried
 #: state dict; returns True when the anycast is satisfied and should return
@@ -41,7 +38,7 @@ class TopicState:
 
     __slots__ = (
         "topic", "key", "scope", "parent", "former_parent", "is_root", "member",
-        "children", "local", "child_acc", "last_pushed",
+        "children", "local", "child_acc", "last_pushed", "acc", "version",
         "dirty", "replicas", "replica_of", "replica_values", "replica_peers",
     )
 
@@ -62,6 +59,15 @@ class TopicState:
         self.local: Dict[str, Any] = {}
         self.child_acc: Dict[str, Dict[int, Any]] = {}
         self.last_pushed: Dict[str, Any] = {}
+        #: Exact memo of this node's subtree accumulator per aggregate;
+        #: every input change drops the touched names (empty when the
+        #: owner's cache is disabled).
+        self.acc: Dict[str, Any] = {}
+        #: Bumped on every change to this node's view of the tree
+        #: (membership, child set, accumulators, links, replica role).
+        #: Bounded-staleness caches stamp entries with it and treat a
+        #: mismatch at read time as a miss.
+        self.version = 0
         # Names whose accumulator changed since the last flush (in-network
         # aggregation batches updates so a parent pushes once per wave, not
         # once per child); the flush timer itself is node-level, on the
@@ -124,18 +130,17 @@ class ScribeApplication(Application):
         self.anycast_visitor: Optional[AnycastVisitor] = None
         self.multicast_handler: Optional[MulticastHandler] = None
         self.counters = counters
-        #: Exact memo of this node's subtree accumulators, dirty-flagged on
-        #: every input mutation; None disables memoization (ablation mode).
-        self.acc_cache = (SubtreeAggregateCache(counters, "scribe.acc_cache")
-                          if cache_enabled else None)
+        #: Memoize subtree accumulators in ``TopicState.acc``; False is the
+        #: caching-off ablation.
+        self.cache_enabled = cache_enabled
         #: Bounded-staleness memo of finalized root answers, consulted by
         #: callers that pass a ``max_staleness_ms`` tolerance.
-        self.result_cache = (TTLCache(counters, "scribe.result_cache")
+        self.result_cache = (TTLCache(self.topic_version, counters,
+                                      "scribe.result_cache")
                              if cache_enabled else None)
-        #: Called with the topic name whenever this node's view of a tree
-        #: changes (membership, child set, pushed accumulators).  The query
-        #: layer hooks this to invalidate its probe cache.
-        self.tree_change_listeners: List[Callable[[str], None]] = []
+        # Protocol request ids come from a per-simulation counter, so two
+        # same-seed planes in one process put identical ids on the wire.
+        self._request_ids = sim.id_counters["scribe.request"]
         #: Hot-tree balancer (None = rebalancing off; the protocol below is
         #: then fully inert and the wire behaviour is byte-identical).
         if rebalance is not None and rebalance.enabled:
@@ -179,17 +184,15 @@ class ScribeApplication(Application):
         to this node's registry under ``fn.name``."""
         self.functions[fn.name] = fn
 
-    def add_tree_change_listener(self, listener: Callable[[str], None]) -> None:
-        """Subscribe to local tree-change notifications (cache invalidation)."""
-        self.tree_change_listeners.append(listener)
+    def topic_version(self, topic: str) -> int:
+        """This node's tree-change version for ``topic`` (0 with no state).
 
-    def _notify_tree_change(self, topic: str) -> None:
-        """A tree input changed at this node: drop bounded-stale answers for
-        the topic and tell listeners (the query layer's probe cache)."""
-        if self.result_cache is not None:
-            self.result_cache.invalidate_topic(topic)
-        for listener in self.tree_change_listeners:
-            listener(topic)
+        Topic states are never deleted and creating one is not a change,
+        so the value only grows and a cache stamp taken before any change
+        still matches after the state appears.
+        """
+        state = self._topics.get(topic)
+        return 0 if state is None else state.version
 
     def join(self, node: PastryNode, topic: str, scope: str = "global") -> None:
         """Subscribe ``node`` to ``topic``, building tree state on the way.
@@ -202,8 +205,7 @@ class ScribeApplication(Application):
         if state.member:
             return
         state.member = True
-        self.set_local(node, topic, "count", 1)
-        self._notify_tree_change(topic)
+        self.set_local(node, topic, "count", 1)  # bumps the tree version
         if state.in_tree() and (state.parent is not None or state.is_root):
             return  # already wired into the tree as a forwarder
         node.route(state.key, self.name, {"op": "join", "topic": topic,
@@ -223,7 +225,7 @@ class ScribeApplication(Application):
         affected = state.agg_names()
         state.local.clear()
         self._recompute_and_push(node, state, names=affected)
-        self._notify_tree_change(topic)
+        state.version += 1
         self._maybe_prune(node, state)
 
     def multicast(self, node: PastryNode, topic: str, payload: Dict[str, Any]) -> None:
@@ -254,7 +256,7 @@ class ScribeApplication(Application):
         The result dict additionally carries ``satisfied`` (visitor returned
         True) and ``visited_members`` (DFS coverage count).
         """
-        request_id = next(_request_ids)
+        request_id = next(self._request_ids)
         future = Future(self.sim, timeout=timeout)
         self._pending[request_id] = future
         state = self.topic_state(topic, scope)
@@ -295,15 +297,15 @@ class ScribeApplication(Application):
         if state is None:
             state = self.topic_state(topic)
         state.local[agg_name] = value
-        self._recompute_and_push(node, state, only=agg_name)
-        self._notify_tree_change(state.topic)
+        state.version += 1
+        self._recompute_and_push(node, state, (agg_name,))
 
     def clear_local(self, node: PastryNode, topic: str, agg_name: str) -> None:
         state = self._topics.get(topic)
         if state and agg_name in state.local:
             del state.local[agg_name]
-            self._recompute_and_push(node, state, only=agg_name)
-            self._notify_tree_change(topic)
+            self._recompute_and_push(node, state, (agg_name,))
+            state.version += 1
 
     def query_aggregate(
         self,
@@ -342,7 +344,7 @@ class ScribeApplication(Application):
                 future = Future(self.sim, timeout=timeout)
                 self.sim.call_soon(future.try_resolve, cached)
                 return future
-        request_id = next(_request_ids)
+        request_id = next(self._request_ids)
         future = Future(self.sim, timeout=timeout)
         self._pending[request_id] = future
         state = self.topic_state(topic, scope)
@@ -394,7 +396,7 @@ class ScribeApplication(Application):
         Moara-style trade-off (§V-C) the push/pull ablation measures.
         Resolves to ``{agg_name: finalized value}``.
         """
-        request_id = next(_request_ids)
+        request_id = next(self._request_ids)
         future = Future(self.sim, timeout=timeout)
         self._pending[request_id] = future
         state = self.topic_state(topic, scope)
@@ -458,7 +460,7 @@ class ScribeApplication(Application):
                 # tree; cached cardinality hints priced off the old link
                 # must not survive the churn (planner would probe a bucket
                 # that no longer reaches its members).
-                self._notify_tree_change(state.topic)
+                state.version += 1
             if state.former_parent is not None:
                 if state.former_parent == state.parent:
                     state.former_parent = None
@@ -521,7 +523,7 @@ class ScribeApplication(Application):
             # Becoming root is a tree change: answers computed while this
             # node was a mere forwarder (or fresh) are no longer priced
             # against the right vantage point.
-            self._notify_tree_change(state.topic)
+            state.version += 1
         if op == "join":
             child_id, child_addr, child_site = data["child"]
             if child_addr != node.address:
@@ -665,7 +667,7 @@ class ScribeApplication(Application):
         if ref.address == node.address:
             return
         if ref.address not in state.children:
-            self._notify_tree_change(state.topic)
+            state.version += 1
         state.children[ref.address] = ref
         node.send_app(ref.address, self.name, "parent_set", {"topic": state.topic})
 
@@ -681,7 +683,7 @@ class ScribeApplication(Application):
         if changed:
             self._recompute_and_push(node, state)
         if changed or dropped is not None:
-            self._notify_tree_change(state.topic)
+            state.version += 1
 
     def _on_parent_set(self, node: PastryNode, topic: str, parent_addr: int) -> None:
         state = self.topic_state(topic)
@@ -703,7 +705,7 @@ class ScribeApplication(Application):
         if changed:
             # Re-homing invalidates everything priced against the old tree
             # path (planner cardinality hints, bounded-stale answers).
-            self._notify_tree_change(topic)
+            state.version += 1
         self._repush_all(node, state)
 
     def _maybe_prune(self, node: PastryNode, state: TopicState) -> None:
@@ -722,7 +724,7 @@ class ScribeApplication(Application):
                 # leave once the former parent is reachable again.
                 state.former_parent = state.parent
             state.parent = None
-            self._notify_tree_change(state.topic)
+            state.version += 1
 
     # ------------------------------------------------------------------
     # Multicast
@@ -794,7 +796,7 @@ class ScribeApplication(Application):
     def _start_pull(self, node: PastryNode, state: TopicState, names: List[str],
                     reply_to) -> None:
         """Recursively collect fresh accumulators from this subtree."""
-        pull_id = next(_request_ids)
+        pull_id = next(self._request_ids)
         live_children = [a for a in state.children if node.network.has_host(a)]
         record = {
             "topic": state.topic,
@@ -859,19 +861,20 @@ class ScribeApplication(Application):
         """This node's subtree accumulator, memoized when caching is on.
 
         Coherence contract: every mutation of the inputs (local value,
-        child accumulators, membership) invalidates the memo via
-        :meth:`_recompute_and_push`, so a cache hit is always exactly the
-        value :meth:`_compute_own_acc` would return.
+        child accumulators, membership) drops the name from ``state.acc``
+        (:meth:`_recompute_and_push`), so a memo hit is always exactly the value
+        :meth:`_compute_own_acc` would return.
         """
-        cache = self.acc_cache
-        if cache is None:
+        if not self.cache_enabled:
             return self._compute_own_acc(state, agg_name)
-        # peek/store instead of get(compute=...): the closure allocation is
-        # measurable at flush rates, and the counter stream is identical.
-        value = cache.peek(state.topic, agg_name)
+        value = state.acc.get(agg_name, _MISS)
+        counters = self.counters
         if value is _MISS:
-            value = self._compute_own_acc(state, agg_name)
-            cache.store(state.topic, agg_name, value)
+            if counters is not None:
+                counters.increment("scribe.acc_cache.miss")
+            value = state.acc[agg_name] = self._compute_own_acc(state, agg_name)
+        elif counters is not None:
+            counters.increment("scribe.acc_cache.hit")
         return value
 
     def _compute_own_acc(self, state: TopicState, agg_name: str) -> Any:
@@ -885,27 +888,20 @@ class ScribeApplication(Application):
         return acc
 
     def _recompute_and_push(self, node: PastryNode, state: TopicState,
-                            only: Optional[str] = None,
                             names: Optional[List[str]] = None) -> None:
-        """Invalidate memos, mark aggregates dirty, arm the flush timer."""
-        if names is None and only is not None:
-            # Hot path (one aggregate per publish): skip the list builds.
-            if only in self.functions:
-                if self.acc_cache is not None:
-                    self.acc_cache.invalidate(state.topic, only)
-                state.dirty.add(only)
-            if not state.dirty:
-                return
-        else:
-            if names is None:
-                names = state.agg_names()
-            names = [n for n in names if n in self.functions]
-            if self.acc_cache is not None:
-                for agg_name in names:
-                    self.acc_cache.invalidate(state.topic, agg_name)
-            state.dirty.update(names)
-            if not state.dirty:
-                return
+        """Drop memos, mark aggregates dirty, arm the flush timer.
+
+        Not a tree-version bump: maintain()'s periodic re-push lands here
+        too, and must not flush the bounded-staleness caches.
+        """
+        counters = self.counters
+        for agg_name in state.agg_names() if names is None else names:
+            if agg_name in self.functions:
+                if state.acc.pop(agg_name, _MISS) is not _MISS and counters is not None:
+                    counters.increment("scribe.acc_cache.invalidate")
+                state.dirty.add(agg_name)
+        if not state.dirty:
+            return
         if self.agg_flush_ms <= 0:
             # Undebounced ablation path: every change cascades immediately
             # as an individual "agg_push" (the pre-batching behaviour).
@@ -1010,8 +1006,8 @@ class ScribeApplication(Application):
         if per_child is None:
             per_child = state.child_acc[agg_name] = {}
         per_child[child_addr] = acc
-        self._recompute_and_push(node, state, only=agg_name)
-        self._notify_tree_change(state.topic)
+        state.version += 1
+        self._recompute_and_push(node, state, (agg_name,))
 
     def _on_agg_push_batch(self, node: PastryNode, data: Dict[str, Any],
                            child_addr: int) -> None:
@@ -1031,7 +1027,7 @@ class ScribeApplication(Application):
         state = self._topics.get(data["topic"])
         if state is not None and state.parent == origin:
             state.parent = None
-            self._notify_tree_change(state.topic)
+            state.version += 1
 
     def rejoin_detached(self, node: PastryNode) -> None:
         """Re-route a JOIN for every topic this node should be wired into
@@ -1116,7 +1112,7 @@ class ScribeApplication(Application):
                 "peers": list(peers),
                 "assigned": assigned[ref.address],
             })
-        self._notify_tree_change(state.topic)
+        state.version += 1
         return True
 
     def _demote_replicas(self, node: PastryNode, state: TopicState) -> None:
@@ -1129,7 +1125,7 @@ class ScribeApplication(Application):
                 node.send_app(address, self.name, "replica_demote",
                               {"topic": state.topic})
         state.replicas.clear()
-        self._notify_tree_change(state.topic)
+        state.version += 1
 
     def _sync_replicas(self, node: PastryNode, state: TopicState) -> None:
         """Push the root's finalized snapshot to every live replica."""
@@ -1149,7 +1145,7 @@ class ScribeApplication(Application):
         state.replica_of = None
         state.replica_values = None
         state.replica_peers = []
-        self._notify_tree_change(state.topic)
+        state.version += 1
         self._maybe_prune(node, state)
 
     def _replica_maintain(self, node: PastryNode) -> None:
@@ -1168,7 +1164,7 @@ class ScribeApplication(Application):
                         if (address not in state.children
                                 or not node.network.has_host(address)):
                             state.replicas.pop(address, None)
-                            self._notify_tree_change(state.topic)
+                            state.version += 1
                     self._sync_replicas(node, state)
             if state.replica_of is not None:
                 root = state.replica_of
@@ -1191,7 +1187,7 @@ class ScribeApplication(Application):
             if child_addr != node.address:
                 self._add_child(node, state,
                                 NodeRef(NodeId(child_id), child_addr, child_site))
-        self._notify_tree_change(state.topic)
+        state.version += 1
 
     def _on_replica_sync(self, node: PastryNode, data: Dict[str, Any],
                          origin: int) -> None:
@@ -1220,7 +1216,7 @@ class ScribeApplication(Application):
         state = self._topics.get(data["topic"])
         if state is not None and origin in state.replicas:
             state.replicas.pop(origin, None)
-            self._notify_tree_change(state.topic)
+            state.version += 1
 
     def _on_replica_probe(self, node: PastryNode, data: Dict[str, Any],
                           origin: int) -> None:

@@ -18,7 +18,7 @@ unchanged.
 
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, IdCounters, Simulator
 from repro.sim.futures import Future, FutureTimeout, gather
 from repro.sim.random_streams import RandomStreams
 
@@ -83,12 +83,16 @@ class EngineProtocol(Protocol):
 
     def add_idle_source(self, source: Callable[[], bool]) -> None: ...
 
+    # -- per-run protocol ids --------------------------------------------
+    id_counters: IdCounters
+
 
 __all__ = [
     "EngineProtocol",
     "Event",
     "Future",
     "FutureTimeout",
+    "IdCounters",
     "RandomStreams",
     "Simulator",
     "gather",

@@ -19,11 +19,25 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
 #: Upper bound on the recycled-Event free-list; beyond this, executed
 #: pooled events are left to the garbage collector.
 _POOL_LIMIT = 65_536
+
+
+class IdCounters(Dict[str, Iterator[int]]):
+    """Protocol-id counters owned by one engine, created on first use.
+
+    ``id_counters[name]`` counts 1, 2, ...  Protocol layers draw request
+    ids here rather than from a process-global counter, so two same-seed
+    runs in one process put identical ids (and so identical bytes) on the
+    wire.
+    """
+
+    def __missing__(self, name: str) -> Iterator[int]:
+        counter = self[name] = itertools.count(1)
+        return counter
 
 
 class SimulationError(RuntimeError):
@@ -92,6 +106,8 @@ class Simulator:
         self._idle_sources: list[Callable[[], bool]] = []
         self.batched = batched
         self._pool: list[Event] = []
+        #: Per-run protocol-id counters (see :class:`IdCounters`).
+        self.id_counters = IdCounters()
 
     def set_step_hook(self, hook: Optional[Callable[[float, int], None]]) -> None:
         """Install an observer called with ``(time, seq)`` before each event

@@ -33,7 +33,7 @@ import itertools
 import time
 from typing import Any, Callable, List, Optional
 
-from repro.sim.engine import SimulationError
+from repro.sim.engine import IdCounters, SimulationError
 
 
 class RealtimeTimeout(RuntimeError):
@@ -93,6 +93,8 @@ class RealtimeScheduler:
         self._step_hook: Optional[Callable[[float, int], None]] = None
         self._idle_hook: Optional[Callable[[], None]] = None
         self._idle_sources: List[Callable[[], bool]] = []
+        #: Per-run protocol-id counters (see :class:`IdCounters`).
+        self.id_counters = IdCounters()
 
     # ------------------------------------------------------------------
     # Clock

@@ -11,8 +11,6 @@ import itertools
 
 import pytest
 
-import repro.query.executor as executor_mod
-import repro.scribe.scribe as scribe_mod
 from repro.core.plane import RBay, RBayConfig
 from repro.net import message as message_mod
 from repro.net.latency import UniformLatencyModel, make_ec2_registry
@@ -117,12 +115,9 @@ def test_size_is_the_codec_frame_without_header_fields():
 
 
 def bytes_of_seeded_run(tracing):
-    # Payloads carry process-global protocol ids, which the codec encodes
-    # at their true width: pin them so runs in one process are comparable.
-    # The message-id counter is deliberately pushed far ahead instead.
-    executor_mod._query_ids = itertools.count(1)
-    executor_mod._request_ids = itertools.count(1)
-    scribe_mod._request_ids = itertools.count(1)
+    # Protocol (query/request) ids are per plane.  The process-global
+    # message-id counter is deliberately pushed far ahead: message ids are
+    # frame header fields and must not move the accounted size.
     message_mod._msg_ids = itertools.count(next(message_mod._msg_ids) * 1000)
     plane, workload = small_plane(tracing=tracing)
     plane.network.account_bytes = True
@@ -133,12 +128,28 @@ def bytes_of_seeded_run(tracing):
 
 
 def test_bytes_repeat_per_seed_and_ignore_tracing(monkeypatch):
-    # Register the current counters so monkeypatch restores them afterwards.
-    for name in ("_query_ids", "_request_ids"):
-        monkeypatch.setattr(executor_mod, name, getattr(executor_mod, name))
-    monkeypatch.setattr(scribe_mod, "_request_ids", scribe_mod._request_ids)
+    # Register the current counter so monkeypatch restores it afterwards.
     monkeypatch.setattr(message_mod, "_msg_ids", message_mod._msg_ids)
     first = bytes_of_seeded_run(tracing=False)
     assert first[0] > 0
     assert bytes_of_seeded_run(tracing=False) == first
     assert bytes_of_seeded_run(tracing=True) == first
+
+
+def test_same_seed_planes_in_one_process_send_identical_bytes():
+    """Regression: payloads carry query/request ids at their true width,
+    so ids drawn from process-global counters made a second same-seed
+    plane in one process send different bytes than the first.  Enough
+    queries run that a continued count would pass 127, where the codec's
+    minimal integer encoding grows a byte."""
+    def run():
+        plane, workload = small_plane()
+        plane.network.account_bytes = True
+        plane.network.reset_counters()
+        for _ in range(5):
+            run_queries(plane, workload, count=5)
+        return plane.network.bytes_sent
+
+    first = run()
+    assert first > 0
+    assert run() == first

@@ -12,25 +12,16 @@ Two claims from the observability plane's contract are pinned here:
   included.
 """
 
-import itertools
 import json
 
 import pytest
 
-import repro.query.executor as executor_mod
 from repro.core.plane import RBay, RBayConfig
 from repro.faults import MessageRule
 from repro.obs import critical_path, step_breakdown, to_chrome_trace, to_json
 from repro.obs.spans import SpanRecorder
 from repro.sim.engine import Simulator
 from repro.workloads.generator import FederationWorkload, WorkloadSpec
-
-
-def reset_protocol_ids():
-    """Query/request ids are process-global; pin them so two same-seed
-    runs in one process stay byte-comparable."""
-    executor_mod._query_ids = itertools.count(1)
-    executor_mod._request_ids = itertools.count(1)
 
 
 def build_traced_plane(seed=424, jitter=False, tracing=True):
@@ -65,7 +56,6 @@ def run_query(plane, workload, select=2, timeout=60_000.0):
 
 class TestExportDeterminism:
     def exports(self, seed):
-        reset_protocol_ids()
         plane, workload = build_traced_plane(seed=seed, jitter=True)
         result = run_query(plane, workload)
         spans = plane.obs.recorder.spans()
@@ -222,7 +212,6 @@ class TestRetriesOnTheCriticalPath:
 class TestTracingIsInert:
     def test_tracing_on_and_off_simulate_identically(self):
         def fingerprint(tracing):
-            reset_protocol_ids()
             plane, workload = build_traced_plane(seed=9, tracing=tracing)
             result = run_query(plane, workload)
             return (result.satisfied, result.latency_ms, result.retries,

@@ -2,9 +2,9 @@
 
 The five-step protocol opens every query with a size-probe round.  With
 ``probe_cache_ms > 0`` a query interface reuses probe answers younger
-than the bound, so repeated queries skip step 1 entirely; any locally
-observed tree change (via the Scribe tree-change listener) drops the
-cached answer immediately, and entries older than the bound miss.
+than the bound, so repeated queries skip step 1 entirely; an answer cached before any
+locally observed tree change (the co-located Scribe topic version moved)
+is a miss when next read, and entries older than the bound miss.
 """
 
 import pytest
@@ -89,14 +89,16 @@ class TestProbeCacheInvalidation:
         old_size = first.tree_sizes[topic]
 
         # The customer's home node joins the tree: its Scribe instance
-        # notifies the co-located query app, which must drop the entry.
+        # bumps the topic version, so the co-located query app must not
+        # serve the entry cached before the join.
         home = customer.home
         home.app("scribe").join(home, topic, scope="site")
         plane.sim.run()
-        assert plane.counters.get("query.probe_cache.invalidate") >= 1
 
         second = run_query(plane, customer, sql)
         assert second.tree_sizes[topic] == old_size + 1
+        # The stale entry is counted when the second query finds it.
+        assert plane.counters.get("query.probe_cache.invalidate") >= 1
 
     def test_entries_older_than_ttl_miss(self):
         plane, workload = build_plane(probe_cache_ms=1_000.0)

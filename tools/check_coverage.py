@@ -62,6 +62,7 @@ DEFAULT_TARGETS = [
 DEFAULT_TESTS = [
     REPO / "tests" / "test_scribe_cache_coherence.py",
     REPO / "tests" / "test_query_probe_cache.py",
+    REPO / "tests" / "test_scribe_version_caches.py",
     REPO / "tests" / "test_metrics.py",
     REPO / "tests" / "test_faults_injector.py",
     REPO / "tests" / "test_chaos_properties.py",
