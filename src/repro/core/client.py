@@ -87,9 +87,38 @@ class Customer:
         Resolves to a :class:`QueryOutcome` once satisfied or the attempt
         budget is exhausted.
         """
-        sim = self.home.sim
-        query = parse_query(sql)
-        outcome = QueryOutcome(sql=sql)
+        request = _Request(self, parse_query(sql), payload, sql, timeout)
+        request.attempt()
+        return request.done
+
+    # ------------------------------------------------------------------
+    def release_all(self, result: "QueryResult") -> None:
+        """Give back every node a query holds (customer declined)."""
+        for entry in result.entries:
+            self.home.send_app(entry["address"], "query", "release",
+                               {"query_id": result.query_id})
+
+
+class _Request:
+    """One :meth:`Customer.request`: attempts, shortfall backoff, outcome.
+
+    A per-request object whose bound methods are the callbacks, so the
+    attempt -> result -> retry loop is freed by reference counting; as
+    nested closures that call one another it was a reference cycle.
+    """
+
+    __slots__ = ("customer", "query", "payload", "outcome", "sim", "started",
+                 "done", "backoff")
+
+    def __init__(self, customer: Customer, query: Query,
+                 payload: Optional[Dict[str, Any]], sql: str,
+                 timeout: Optional[float]):
+        self.customer = customer
+        self.query = query
+        self.payload = payload
+        self.outcome = outcome = QueryOutcome(sql=sql)
+        self.sim = sim = customer.home.sim
+        started = sim.now
 
         def _timed_out() -> QueryOutcome:
             # Deadline fired mid-attempt: the caller still gets a clean
@@ -98,53 +127,49 @@ class Customer:
             outcome.total_latency_ms = sim.now - started
             return outcome
 
-        done = Future(sim, timeout=timeout, timeout_value=_timed_out)
-        backoff = TruncatedExponentialBackoff(
-            self.rng, slot_ms=self.backoff_slot_ms, max_attempts=self.max_attempts
-        )
-        started = sim.now
+        self.done = Future(sim, timeout=timeout, timeout_value=_timed_out)
+        self.backoff = TruncatedExponentialBackoff(
+            customer.rng, slot_ms=customer.backoff_slot_ms,
+            max_attempts=customer.max_attempts)
+        self.started = started
 
-        def _attempt() -> None:
-            if done.resolved:
-                return
-            outcome.attempts += 1
-            future = self._query_app.execute(self.home, query, QueryOptions(
-                payload=payload, caller=self.name))
-            future.add_callback(_on_result)
+    def attempt(self) -> None:
+        if self.done.resolved:
+            return
+        customer = self.customer
+        self.outcome.attempts += 1
+        future = customer._query_app.execute(customer.home, self.query,
+                                             QueryOptions(payload=self.payload,
+                                                          caller=customer.name))
+        future.add_callback(self.on_result)
 
-        def _on_result(result: Any) -> None:
-            if done.resolved:
-                # The caller's deadline fired while this attempt was in
-                # flight; anything it committed must be given back.
-                if not isinstance(result, Exception) and result.satisfied:
-                    self.release_all(result)
-                return
-            if isinstance(result, Exception):
-                _fail_or_retry()
-                return
-            outcome.attempt_results.append(result)
-            outcome.result = result
-            if result.satisfied:
-                outcome.total_latency_ms = sim.now - started
-                done.try_resolve(outcome)
-                return
-            _fail_or_retry()
+    def on_result(self, result: Any) -> None:
+        if self.done.resolved:
+            # The caller's deadline fired while this attempt was in
+            # flight; anything it committed must be given back.
+            if not isinstance(result, Exception) and result.satisfied:
+                self.customer.release_all(result)
+            return
+        if isinstance(result, Exception):
+            self.fail_or_retry()
+            return
+        outcome = self.outcome
+        outcome.attempt_results.append(result)
+        outcome.result = result
+        if result.satisfied:
+            self.finish()
+            return
+        self.fail_or_retry()
 
-        def _fail_or_retry() -> None:
-            backoff.record_failure()
-            if backoff.exhausted():
-                outcome.gave_up = True
-                outcome.total_latency_ms = sim.now - started
-                done.try_resolve(outcome)
-                return
-            sim.schedule(backoff.next_delay_ms(), _attempt)
+    def fail_or_retry(self) -> None:
+        backoff = self.backoff
+        backoff.record_failure()
+        if backoff.exhausted():
+            self.outcome.gave_up = True
+            self.finish()
+            return
+        self.sim.schedule(backoff.next_delay_ms(), self.attempt)
 
-        _attempt()
-        return done
-
-    # ------------------------------------------------------------------
-    def release_all(self, result: "QueryResult") -> None:
-        """Give back every node a query holds (customer declined)."""
-        for entry in result.entries:
-            self.home.send_app(entry["address"], "query", "release",
-                               {"query_id": result.query_id})
+    def finish(self) -> None:
+        self.outcome.total_latency_ms = self.sim.now - self.started
+        self.done.try_resolve(self.outcome)

@@ -465,75 +465,12 @@ class QueryApplication(Application):
         ``retries`` is the per-query budget override, also carried in the
         site_query payload so the remote executor honours it too.
         """
-        sim = self.context.sim
-        done = Future(sim)
-        backoff = self.context.step_backoff(retries)
-        rec = self.obs.recorder
         remote = site_name if site_name is not None else str(gateway)
-
-        def _attempt() -> None:
-            request_id = next(self._request_ids)
-            attempt = Future(sim, timeout=self.context.site_timeout_ms)
-            self._pending[request_id] = attempt
-            span = None
-            if rec.enabled:
-                # Retries resume from a timer (empty context stack), so the
-                # attempt span parents explicitly under the query root.
-                span = rec.start("query.site", category="query",
-                                 parent=parent_ctx, step="site_rtt",
-                                 site=remote, addr=node.address,
-                                 attempt=backoff.failures + 1)
-                attempt.add_callback(lambda value: self.obs.end_step(
-                    span, status="timeout" if isinstance(value, FutureTimeout)
-                    or value is None else "ok"))
-            with rec.use(span):
-                node.send_app(gateway, self.name, "site_query", {
-                    "request_id": request_id,
-                    "query_id": query_id,
-                    "k": query.k,
-                    "where": [[p.pack() for p in conjunction] for conjunction in query.where],
-                    "order_by": query.order_by,
-                    "group_by": query.group_by,
-                    "payload": payload,
-                    "caller": caller,
-                    "origin": node.address,
-                    "retries": retries,
-                    "planner": planner,
-                })
-
-            def _on_reply(value: Any) -> None:
-                if done.resolved:
-                    return
-                if not isinstance(value, FutureTimeout) and value is not None:
-                    done.try_resolve(value)
-                    return
-                # Orphan the attempt so a late reply is settled, not merged.
-                self._pending.pop(request_id, None)
-                backoff.record_failure()
-                if backoff.exhausted():
-                    done.try_resolve(FutureTimeout(
-                        f"site request to {gateway} failed after "
-                        f"{backoff.failures} attempts"))
-                    return
-                if retries_used is not None:
-                    retries_used[0] += 1
-                if self.counters is not None:
-                    self.counters.increment("query.retry.site")
-                delay = backoff.next_delay_ms()
-                if rec.enabled:
-                    wait = rec.start("query.backoff", category="query",
-                                     parent=parent_ctx, step="backoff",
-                                     retry_of="site", site=remote,
-                                     addr=node.address)
-                    sim.schedule(delay, lambda: (
-                        self.obs.end_step(wait), _attempt()))
-                else:
-                    sim.schedule(delay, _attempt)
-
-            attempt.add_callback(_on_reply)
-
-        _attempt()
-        return done
+        request = _SiteRequest(self, node, gateway, query_id, query, payload,
+                               caller, retries_used, remote, parent_ctx,
+                               retries, planner)
+        request.attempt()
+        return request.done
 
     # ------------------------------------------------------------------
     # Site executor (steps 1-5 inside one site)
@@ -724,140 +661,15 @@ class QueryApplication(Application):
             rec.instant("query.probe_cache_hit", category="query",
                         parent=exec_ctx, site=site_name, addr=node.address,
                         topics=len(size_of))
-        probe_backoff = self.context.step_backoff(retries)
-
-        def _probe_round(topics_left: List[str]) -> None:
-            probe_span = None
-            if rec.enabled:
-                probe_span = rec.start(
-                    "query.probe", category="query", parent=exec_ctx,
-                    step="probe", site=site_name, addr=node.address,
-                    topics=len(topics_left),
-                    attempt=probe_backoff.failures + 1)
-            with rec.use(probe_span):
-                round_probes = [
-                    node.scribe.tree_size(node, topic,
-                                          timeout=self.context.probe_timeout_ms,
-                                          scope=self.context.tree_scope)
-                    for topic in topics_left
-                ]
-            gather(sim, round_probes,
-                   timeout=self.context.probe_timeout_ms).add_callback(
-                lambda sizes: _collect_probe(topics_left, sizes, probe_span))
-
-        def _collect_probe(topics_left: List[str], sizes: Any,
-                           probe_span=None) -> None:
-            if isinstance(sizes, FutureTimeout):
-                sizes = [FutureTimeout()] * len(topics_left)
-            missing: List[str] = []
-            for topic, size in zip(topics_left, sizes):
-                if isinstance(size, FutureTimeout):
-                    missing.append(topic)
-                    continue
-                size_of[topic] = int(size or 0)
-                if ttl > 0:
-                    self.probe_cache.put(topic, size_of[topic], sim.now)
-            if rec.enabled:
-                self.obs.end_step(probe_span,
-                                  status="timeout" if missing else "ok")
-            if missing:
-                probe_backoff.record_failure()
-                if not probe_backoff.exhausted():
-                    # Re-probe only the trees whose size is still unknown.
-                    if self.counters is not None:
-                        self.counters.increment("query.retry.probe")
-                    delay = probe_backoff.next_delay_ms()
-                    if rec.enabled:
-                        wait = rec.start("query.backoff", category="query",
-                                         parent=exec_ctx, step="backoff",
-                                         retry_of="probe", site=site_name,
-                                         addr=node.address)
-                        sim.schedule(delay, lambda: (
-                            self.obs.end_step(wait), _probe_round(missing)))
-                    else:
-                        sim.schedule(delay, lambda: _probe_round(missing))
-                    return
-                # Retry budget spent: an unreachable tree counts as empty,
-                # so planning proceeds on what did answer.
-                for topic in missing:
-                    size_of[topic] = 0
-            _after_probe()
-
-        def _after_probe() -> None:
-            # GROUP BY pushdown: the bucket roll-up counts *are* the
-            # per-group answer — no anycast, no member visits at all.
-            if pushdown is not None:
-                rows = [
-                    {"group": bucket.label, "count": size_of.get(topic, 0)}
-                    for bucket, topic in zip(pushdown, families[0]["topics"])
-                    if size_of.get(topic, 0) > 0
-                ]
-                done.try_resolve({"entries": rows, "tree_sizes": size_of,
-                                  "visited": 0})
-                return
-            # Step 3: pick the predicate whose tree family is smallest.
-            totals = [sum(size_of[t] for t in group) for group in groups]
-            best_index: Optional[int] = None
-            for index, total in enumerate(totals):
-                if total <= 0:
-                    continue
-                if best_index is None or total < totals[best_index]:
-                    best_index = index
-            if best_index is None:
-                done.try_resolve({"entries": [], "tree_sizes": size_of,
-                                  "visited": 0})
-                return
-            topics = sorted(groups[best_index], key=lambda t: size_of[t])
-            topics = [t for t in topics if size_of[t] > 0]
-            # Tree membership *implies* the chosen predicate (that is what
-            # the tree indexes), so members re-check only the remaining
-            # predicates — the paper's step 4i checks "if its node has less
-            # CPU utilization", not the instance-type the tree already
-            # encodes.  Bucket families are exact only when every searched
-            # bucket lies fully inside the predicate's interval; a
-            # partially-overlapping bucket keeps its predicate strict.
-            # Re-check implied predicates anyway when the attribute is
-            # present locally (guards against stale membership between
-            # maintenance ticks).
-            local_predicates = []
-            for index, family in enumerate(families):
-                family_predicate = family["predicate"]
-                if family_predicate is None:
-                    continue  # the synthetic whole-family GROUP BY entry
-                local_predicates.append(
-                    (family_predicate.pack(),
-                     index == best_index and family["exact"]))
-            if group_by is not None:
-                # Collect path: every match contributes its group label;
-                # members are never reserved, so k is unbounded.
-                state = {
-                    "kind": "gquery",
-                    "query_id": query_id,
-                    "k": UNBOUNDED_K,
-                    "predicates": local_predicates,
-                    "group_by": group_by,
-                    "entries": [],
-                }
-            else:
-                state = {
-                    "kind": "query",
-                    "query_id": query_id,
-                    "k": k if k is not None else UNBOUNDED_K,
-                    "caller": caller,
-                    "payload": payload,
-                    "predicates": local_predicates,
-                    "order_by": order_by,
-                    "entries": [],
-                }
-            self._anycast_chain(node, topics, state, size_of, done,
-                                parent=exec_ctx, retries=retries)
-
+        run = _SiteProbe(self, node, done, exec_ctx, query_id, k, caller,
+                         payload, order_by, group_by, retries, families,
+                         groups, pushdown, size_of)
         if to_probe:
-            _probe_round(to_probe)
+            run.probe_round(to_probe)
         else:
             # Every candidate tree answered from the probe cache: step 1
             # costs zero messages and zero round-trips.
-            sim.call_soon(_after_probe)
+            sim.call_soon(run.after_probe)
         return done
 
     def _anycast_chain(self, node: "RBayNode", topics: List[str], state: Dict[str, Any],
@@ -1042,3 +854,267 @@ class QueryApplication(Application):
                 node.reservation.release_uncommitted(data["query_id"])
             else:
                 node.reservation.release(data["query_id"])
+
+
+@dataclass(eq=False, slots=True)
+class _SiteProbe:
+    """Steps 1-3 of one query at one site: probe rounds, then the anycast.
+
+    A per-request object rather than nested closures: the probe round,
+    its collector and the step-3 planner call one another, and closures
+    that do so form a reference cycle that only the cyclic garbage
+    collector can free.  Bound methods of this object hold it, and it
+    holds none of them, so it is freed by reference counting as soon as
+    the last pending callback has run.
+    """
+
+    app: QueryApplication
+    node: "RBayNode"
+    done: Future
+    exec_ctx: Any
+    query_id: int
+    k: Optional[int]
+    caller: Optional[str]
+    payload: Optional[Dict[str, Any]]
+    order_by: Optional[str]
+    group_by: Optional[str]
+    retries: Optional[int]
+    families: List[Dict[str, Any]]
+    groups: List[List[str]]
+    pushdown: Any
+    size_of: Dict[str, int]
+    backoff: TruncatedExponentialBackoff = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.backoff = self.app.context.step_backoff(self.retries)
+
+    def probe_round(self, topics_left: List[str]) -> None:
+        app, node = self.app, self.node
+        context = app.context
+        rec = app.obs.recorder
+        probe_span = None
+        if rec.enabled:
+            probe_span = rec.start(
+                "query.probe", category="query", parent=self.exec_ctx,
+                step="probe", site=node.site.name, addr=node.address,
+                topics=len(topics_left), attempt=self.backoff.failures + 1)
+        with rec.use(probe_span):
+            round_probes = [
+                node.scribe.tree_size(node, topic,
+                                      timeout=context.probe_timeout_ms,
+                                      scope=context.tree_scope)
+                for topic in topics_left
+            ]
+        gather(context.sim, round_probes,
+               timeout=context.probe_timeout_ms).add_callback(
+            lambda sizes: self.collect_probe(topics_left, sizes, probe_span))
+
+    def collect_probe(self, topics_left: List[str], sizes: Any,
+                      probe_span=None) -> None:
+        app, size_of = self.app, self.size_of
+        sim = app.context.sim
+        ttl = app.context.probe_cache_ms
+        rec = app.obs.recorder
+        if isinstance(sizes, FutureTimeout):
+            sizes = [FutureTimeout()] * len(topics_left)
+        missing: List[str] = []
+        for topic, size in zip(topics_left, sizes):
+            if isinstance(size, FutureTimeout):
+                missing.append(topic)
+                continue
+            size_of[topic] = int(size or 0)
+            if ttl > 0:
+                app.probe_cache.put(topic, size_of[topic], sim.now)
+        if rec.enabled:
+            app.obs.end_step(probe_span, status="timeout" if missing else "ok")
+        if missing:
+            backoff = self.backoff
+            backoff.record_failure()
+            if not backoff.exhausted():
+                # Re-probe only the trees whose size is still unknown.
+                if app.counters is not None:
+                    app.counters.increment("query.retry.probe")
+                delay = backoff.next_delay_ms()
+                if rec.enabled:
+                    node = self.node
+                    wait = rec.start("query.backoff", category="query",
+                                     parent=self.exec_ctx, step="backoff",
+                                     retry_of="probe", site=node.site.name,
+                                     addr=node.address)
+                    sim.schedule(delay, lambda: (
+                        app.obs.end_step(wait), self.probe_round(missing)))
+                else:
+                    sim.schedule(delay, self.probe_round, missing)
+                return
+            # Retry budget spent: an unreachable tree counts as empty,
+            # so planning proceeds on what did answer.
+            for topic in missing:
+                size_of[topic] = 0
+        self.after_probe()
+
+    def after_probe(self) -> None:
+        size_of, done, families = self.size_of, self.done, self.families
+        # GROUP BY pushdown: the bucket roll-up counts *are* the
+        # per-group answer — no anycast, no member visits at all.
+        if self.pushdown is not None:
+            rows = [
+                {"group": bucket.label, "count": size_of.get(topic, 0)}
+                for bucket, topic in zip(self.pushdown, families[0]["topics"])
+                if size_of.get(topic, 0) > 0
+            ]
+            done.try_resolve({"entries": rows, "tree_sizes": size_of,
+                              "visited": 0})
+            return
+        # Step 3: pick the predicate whose tree family is smallest.
+        groups = self.groups
+        totals = [sum(size_of[t] for t in group) for group in groups]
+        best_index: Optional[int] = None
+        for index, total in enumerate(totals):
+            if total <= 0:
+                continue
+            if best_index is None or total < totals[best_index]:
+                best_index = index
+        if best_index is None:
+            done.try_resolve({"entries": [], "tree_sizes": size_of,
+                              "visited": 0})
+            return
+        topics = sorted(groups[best_index], key=lambda t: size_of[t])
+        topics = [t for t in topics if size_of[t] > 0]
+        # Tree membership *implies* the chosen predicate (that is what
+        # the tree indexes), so members re-check only the remaining
+        # predicates — the paper's step 4i checks "if its node has less
+        # CPU utilization", not the instance-type the tree already
+        # encodes.  Bucket families are exact only when every searched
+        # bucket lies fully inside the predicate's interval; a
+        # partially-overlapping bucket keeps its predicate strict.
+        # Re-check implied predicates anyway when the attribute is
+        # present locally (guards against stale membership between
+        # maintenance ticks).
+        local_predicates = []
+        for index, family in enumerate(families):
+            family_predicate = family["predicate"]
+            if family_predicate is None:
+                continue  # the synthetic whole-family GROUP BY entry
+            local_predicates.append(
+                (family_predicate.pack(),
+                 index == best_index and family["exact"]))
+        if self.group_by is not None:
+            # Collect path: every match contributes its group label;
+            # members are never reserved, so k is unbounded.
+            state = {
+                "kind": "gquery",
+                "query_id": self.query_id,
+                "k": UNBOUNDED_K,
+                "predicates": local_predicates,
+                "group_by": self.group_by,
+                "entries": [],
+            }
+        else:
+            state = {
+                "kind": "query",
+                "query_id": self.query_id,
+                "k": self.k if self.k is not None else UNBOUNDED_K,
+                "caller": self.caller,
+                "payload": self.payload,
+                "predicates": local_predicates,
+                "order_by": self.order_by,
+                "entries": [],
+            }
+        self.app._anycast_chain(self.node, topics, state, size_of, done,
+                                parent=self.exec_ctx, retries=self.retries)
+
+
+@dataclass(eq=False, slots=True)
+class _SiteRequest:
+    """One coordinator's site_query to a remote gateway, across retries.
+
+    Like :class:`_SiteProbe`, a per-request object so that an attempt
+    rescheduling itself is a bound method held by the timer, not a
+    closure that refers to itself (a reference cycle).
+    """
+
+    app: QueryApplication
+    node: "RBayNode"
+    gateway: int
+    query_id: int
+    query: Query
+    payload: Optional[Dict[str, Any]]
+    caller: Optional[str]
+    retries_used: Optional[List[int]]
+    remote: str
+    parent_ctx: Any
+    retries: Optional[int]
+    planner: Optional[bool]
+    done: Future = field(init=False)
+    backoff: TruncatedExponentialBackoff = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.done = Future(self.app.context.sim)
+        self.backoff = self.app.context.step_backoff(self.retries)
+
+    def attempt(self) -> None:
+        app, node, query = self.app, self.node, self.query
+        rec = app.obs.recorder
+        request_id = next(app._request_ids)
+        attempt = Future(app.context.sim, timeout=app.context.site_timeout_ms)
+        app._pending[request_id] = attempt
+        span = None
+        if rec.enabled:
+            # Retries resume from a timer (empty context stack), so the
+            # attempt span parents explicitly under the query root.
+            span = rec.start("query.site", category="query",
+                             parent=self.parent_ctx, step="site_rtt",
+                             site=self.remote, addr=node.address,
+                             attempt=self.backoff.failures + 1)
+            attempt.add_callback(lambda value: app.obs.end_step(
+                span, status="timeout" if isinstance(value, FutureTimeout)
+                or value is None else "ok"))
+        with rec.use(span):
+            node.send_app(self.gateway, app.name, "site_query", {
+                "request_id": request_id,
+                "query_id": self.query_id,
+                "k": query.k,
+                "where": [[p.pack() for p in conjunction]
+                          for conjunction in query.where],
+                "order_by": query.order_by,
+                "group_by": query.group_by,
+                "payload": self.payload,
+                "caller": self.caller,
+                "origin": node.address,
+                "retries": self.retries,
+                "planner": self.planner,
+            })
+        attempt.add_callback(lambda value: self.on_reply(request_id, value))
+
+    def on_reply(self, request_id: int, value: Any) -> None:
+        done, app = self.done, self.app
+        if done.resolved:
+            return
+        if not isinstance(value, FutureTimeout) and value is not None:
+            done.try_resolve(value)
+            return
+        # Orphan the attempt so a late reply is settled, not merged.
+        app._pending.pop(request_id, None)
+        backoff = self.backoff
+        backoff.record_failure()
+        if backoff.exhausted():
+            done.try_resolve(FutureTimeout(
+                f"site request to {self.gateway} failed after "
+                f"{backoff.failures} attempts"))
+            return
+        if self.retries_used is not None:
+            self.retries_used[0] += 1
+        if app.counters is not None:
+            app.counters.increment("query.retry.site")
+        delay = backoff.next_delay_ms()
+        sim = app.context.sim
+        rec = app.obs.recorder
+        if rec.enabled:
+            wait = rec.start("query.backoff", category="query",
+                             parent=self.parent_ctx, step="backoff",
+                             retry_of="site", site=self.remote,
+                             addr=self.node.address)
+            sim.schedule(delay, lambda: (app.obs.end_step(wait),
+                                         self.attempt()))
+        else:
+            sim.schedule(delay, self.attempt)

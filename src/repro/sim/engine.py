@@ -49,6 +49,10 @@ class Event:
 
     Events support cancellation: a cancelled event stays in the heap but is
     skipped when popped (lazy deletion), which keeps ``cancel`` O(1).
+    ``cancel`` drops the callback and its arguments at once, so a timer
+    cancelled long before it is due holds nothing alive while it waits in
+    the heap (a resolved request's timeout would otherwise keep the
+    request's future and closures until the timeout's time came round).
 
     ``pooled`` marks events created by :meth:`Simulator.post`: no handle
     escapes to callers, so after execution the object is recycled through
@@ -66,8 +70,11 @@ class Event:
         self.pooled = False
 
     def cancel(self) -> None:
-        """Prevent the callback from running.  Safe to call more than once."""
+        """Prevent the callback from running and release it (and its
+        arguments).  Safe to call more than once."""
         self.cancelled = True
+        self.callback = None
+        self.args = ()
 
     def __lt__(self, other: "Event") -> bool:
         # Hot comparator (every heap sift calls it): ordering is by

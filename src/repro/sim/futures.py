@@ -60,7 +60,10 @@ class Future:
         self._resolved = True
         self._value = value
         if self._timeout_event is not None:
+            # Break the future <-> timer reference cycle: the cancelled
+            # event drops its bound ``_on_timeout``, and we drop the event.
             self._timeout_event.cancel()
+            self._timeout_event = None
         callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
             callback(value)

@@ -9,7 +9,11 @@ it attacked and by how much.
 
 The workload itself is the deterministic scale driver: same spec + same
 seed → identical simulated behaviour (and an identical run ``signature``),
-so two profiles differ only in where wall-clock went.  Entry points:
+so two profiles differ only in where wall-clock went.  cProfile charges a
+garbage-collector pause to whichever function was allocating when the
+collection started, so the report adds a separate ``gc`` row, measured
+through :data:`gc.callbacks`: collections per generation, collector
+seconds and objects collected.  Entry points:
 
 * ``tools/profile_core.py`` — standalone CLI (also the ``make profile``
   regression gate);
@@ -19,7 +23,9 @@ so two profiles differ only in where wall-clock went.  Entry points:
 from __future__ import annotations
 
 import cProfile
+import gc
 import pstats
+import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -73,20 +79,61 @@ def _stage_for(func: Tuple[str, int, str]) -> str:
     return "other"
 
 
+class CollectorMeter:
+    """Counts cyclic-garbage-collector work while installed.
+
+    Hooks :data:`gc.callbacks` between :meth:`start` and :meth:`stop`;
+    :meth:`row` reports collections per generation, the seconds spent
+    inside collections and the objects they freed.
+    """
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self.collected = 0
+        self._began = 0.0
+
+    def _callback(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._began = time.perf_counter()
+            return
+        self.seconds += time.perf_counter() - self._began
+        self.collections[info["generation"]] += 1
+        self.collected += info["collected"]
+
+    def start(self) -> None:
+        gc.callbacks.append(self._callback)
+
+    def stop(self) -> None:
+        gc.callbacks.remove(self._callback)
+
+    def row(self) -> Dict[str, Any]:
+        return {"collections": list(self.collections),
+                "seconds": round(self.seconds, 4),
+                "collected": self.collected}
+
+
 def profile_scale(spec: Optional[ScaleSpec] = None) -> Dict[str, Any]:
     """Profile one scale arm; returns metrics + per-stage attribution.
 
     The returned dict extends :func:`repro.workloads.scale.run_scale`'s
     metrics with ``profile``: a list of stage dicts (exclusive seconds,
-    call counts, heaviest functions) ordered by exclusive time.  The
+    call counts, heaviest functions) ordered by exclusive time, and
+    ``gc``: the collector's work over the run (:class:`CollectorMeter`;
+    those seconds are already inside the stages' times).  The
     workload events and ``signature`` are byte-identical to an unprofiled
     run of the same spec; only ``wall_seconds`` carries profiler overhead.
     """
     spec = spec if spec is not None else PROFILE_SPEC
+    meter = CollectorMeter()
     profiler = cProfile.Profile()
+    meter.start()
     profiler.enable()
-    metrics = run_scale(spec)
-    profiler.disable()
+    try:
+        metrics = run_scale(spec)
+    finally:
+        profiler.disable()
+        meter.stop()
 
     stats = pstats.Stats(profiler)
     stages: Dict[str, StageRow] = {}
@@ -113,6 +160,7 @@ def profile_scale(spec: Optional[ScaleSpec] = None) -> Dict[str, Any]:
         })
     metrics["profile"] = report
     metrics["profile_total_s"] = round(total, 4)
+    metrics["gc"] = meter.row()
     return metrics
 
 
@@ -123,6 +171,13 @@ def format_profile(metrics: Dict[str, Any], top: int = 3) -> str:
         [[row["stage"], f"{row['exclusive_s']:.2f}",
           f"{100 * row['share']:.1f}%", f"{row['calls']:,}"]
          for row in metrics["profile"]])]
+    collector = metrics["gc"]
+    lines.append(
+        "gc: {} collections (gen0/gen1/gen2 {}), {:.2f}s, {:,} objects "
+        "collected (included in the stages above)".format(
+            sum(collector["collections"]),
+            "/".join(str(n) for n in collector["collections"]),
+            collector["seconds"], collector["collected"]))
     lines.append("")
     lines.append("heaviest functions per stage:")
     for row in metrics["profile"]:

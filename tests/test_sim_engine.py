@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -56,6 +59,63 @@ def test_cancel_is_idempotent(sim):
     event.cancel()
     event.cancel()
     sim.run()
+
+
+class _Owner:
+    def __init__(self):
+        self.fired = []
+
+    def tick(self, tag):
+        self.fired.append(tag)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_cancel_releases_callback_and_args(batched):
+    """A cancelled timer waiting in the heap holds nothing alive: the
+    callback's owner and the arguments are freed at once (by reference
+    counting, with the collector off), and the event is still skipped."""
+    sim = Simulator(batched=batched)
+    owner, arg = _Owner(), _Owner()
+    owner_ref, arg_ref = weakref.ref(owner), weakref.ref(arg)
+    event = sim.schedule(10.0, owner.tick, arg)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        event.cancel()
+        del owner, arg
+        assert owner_ref() is None and arg_ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert event.cancelled and event.callback is None and event.args == ()
+    assert len(sim._heap) == 1  # lazily deleted: skipped when popped
+    sim.run()
+    assert sim.events_executed == 0
+
+
+def test_cancelled_timers_leave_the_executed_order_unchanged():
+    """Releasing a cancelled callback changes nothing the loop does: the
+    executed (time, seq) stream is the one of the same run without the
+    cancelled timers."""
+    def trace(with_cancelled):
+        sim = Simulator()
+        steps = []
+        sim.set_step_hook(lambda t, seq: steps.append((t, seq)))
+        fired = []
+        sim.schedule(2.0, fired.append, "a")
+        doomed = [sim.schedule(delay, fired.append, "x")
+                  for delay in (1.0, 2.0, 4.0)]
+        sim.schedule(2.0, fired.append, "b")
+        sim.schedule(3.0, lambda: sim.schedule(0.0, fired.append, "c"))
+        if with_cancelled:
+            for event in doomed:
+                event.cancel()
+        sim.run()
+        return steps, fired
+
+    steps, fired = trace(with_cancelled=True)
+    assert fired == ["a", "b", "c"]
+    assert steps == [(2.0, 0), (2.0, 4), (3.0, 5), (3.0, 6)]
 
 
 def test_callback_can_schedule_more_work(sim):

@@ -1,5 +1,7 @@
 """Unit tests for simulation futures."""
 
+import sys
+
 import pytest
 
 from repro.sim.futures import Future, FutureError, FutureTimeout, gather
@@ -61,6 +63,27 @@ def test_resolution_cancels_timeout(sim):
     sim.run()
     assert future.value == "ok"
     assert not future.timed_out()
+
+
+@pytest.mark.parametrize("early", [True, False],
+                         ids=["resolved_early", "timed_out"])
+def test_resolution_releases_timer_and_its_owner(sim, early):
+    """Whether resolved before its timeout or by it, a future drops its
+    timer and the timer drops the future (its owner, through the bound
+    ``_on_timeout``), so neither needs the cyclic collector."""
+    future = Future(sim, timeout=10.0)
+    timer = future._timeout_event
+    got = []
+    future.add_callback(got.append)
+    if early:
+        sim.schedule(5.0, future.resolve, "ok")
+    sim.run(until=20.0)
+    assert len(got) == 1 and future.timed_out() is not early
+    assert future._timeout_event is None
+    assert timer.callback is None and timer.args == ()
+    del timer
+    # Only the local name refers to the future (getrefcount adds one).
+    assert sys.getrefcount(future) == 2
 
 
 def test_result_drives_simulator(sim):

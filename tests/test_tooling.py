@@ -379,3 +379,28 @@ class TestApiChecker:
 
     def test_docs_table_parser_missing_section(self):
         assert api_checker._docs_table_names("no section here") is None
+
+
+class TestProfileCollectorRow:
+    def test_meter_counts_collections_per_generation(self):
+        from repro.workloads.profiling import CollectorMeter
+
+        meter = CollectorMeter()
+        meter.start()
+        try:
+            gc.collect()
+        finally:
+            meter.stop()
+        row = meter.row()
+        assert row["collections"][2] >= 1 and row["seconds"] >= 0.0
+        assert set(row) == {"collections", "seconds", "collected"}
+
+    def test_profile_reports_a_gc_row(self):
+        from repro.workloads.profiling import format_profile, profile_scale
+        from repro.workloads.scale import ScaleSpec
+
+        metrics = profile_scale(ScaleSpec(sites=2, nodes_per_site=4,
+                                          duration_ms=300.0, queries=2,
+                                          query_burst=2, query_window=2))
+        assert len(metrics["gc"]["collections"]) == 3
+        assert "gc: " in format_profile(metrics)

@@ -90,6 +90,7 @@ DEFAULT_TESTS = [
     REPO / "tests" / "test_ext_economy.py",
     REPO / "tests" / "test_economy_live.py",
     REPO / "tests" / "test_market.py",
+    REPO / "tests" / "test_gc_cycles.py",
 ]
 
 
